@@ -367,11 +367,9 @@ pub fn dispatch(
         ExtId::ReadBytes => {
             let buf = args.arg(0);
             let n = args.arg(1) as usize;
-            let avail = io.input.len() - io.input_pos.min(io.input.len());
-            let take = n.min(avail);
-            for i in 0..take {
-                mem.write_u8(buf.wrapping_add(i as u32), io.input[io.input_pos + i]);
-            }
+            let start = io.input_pos.min(io.input.len());
+            let take = n.min(io.input.len() - start);
+            mem.write_bytes(buf, &io.input[start..start + take]);
             io.input_pos += take;
             ret(take as u32, 2 + (take as u64 / 4))
         }
@@ -397,17 +395,14 @@ pub fn dispatch(
             let old_size = clamp_len(mem, mem.read_u32(old.wrapping_sub(4)));
             let new = alloc(io, mem, n);
             let copy = old_size.min(n);
-            for i in 0..copy {
-                let b = mem.read_u8(old.wrapping_add(i));
-                mem.write_u8(new.wrapping_add(i), b);
-            }
+            mem.copy_forward(new, old, copy);
             ret(new, 6 + copy as u64 / 4)
         }
         ExtId::Memcpy | ExtId::Memmove => {
             let dst = args.arg(0);
             let src = args.arg(1);
             let n = clamp_len(mem, args.arg(2));
-            // The paged model copies byte-wise; memmove-safe by buffering.
+            // Buffered through a copy, so memmove-safe.
             let bytes = mem.read_bytes(src, n);
             mem.write_bytes(dst, &bytes);
             ret(dst, 2 + n as u64 / 4)
@@ -416,9 +411,7 @@ pub fn dispatch(
             let dst = args.arg(0);
             let c = args.arg(1) as u8;
             let n = clamp_len(mem, args.arg(2));
-            for i in 0..n {
-                mem.write_u8(dst.wrapping_add(i), c);
-            }
+            mem.fill(dst, n, c);
             ret(dst, 2 + n as u64 / 4)
         }
         ExtId::Strlen => {

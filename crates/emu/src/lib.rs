@@ -36,4 +36,4 @@ pub use ext::{dispatch, parse_format, ArgSource, ExtId, ExtIo, ExtOutcome, FmtAr
 pub use machine::{
     run_image, Flags, Machine, NullSink, RunResult, TraceSink, TransferKind, Trap, RETURN_SENTINEL,
 };
-pub use memory::{Memory, PAGE_SIZE};
+pub use memory::{Memory, DEFAULT_PAGE_CAP, PAGE_SIZE};

@@ -1,10 +1,27 @@
 //! Sparse paged memory for the emulated 32-bit address space.
 
-use std::collections::HashMap;
-
 const PAGE_BITS: u32 = 12;
 /// Page size in bytes.
 pub const PAGE_SIZE: u32 = 1 << PAGE_BITS;
+/// Address bits that index a leaf of the page table.
+const LEAF_BITS: u32 = 10;
+/// Address bits that index the directory: the rest of the 32.
+const DIR_BITS: u32 = 32 - PAGE_BITS - LEAF_BITS;
+
+type Page = [u8; PAGE_SIZE as usize];
+type Leaf = [Option<Box<Page>>; 1 << LEAF_BITS];
+
+fn new_page() -> Box<Page> {
+    Box::new([0u8; PAGE_SIZE as usize])
+}
+
+/// The directory and leaf indices of the page holding `addr`.
+fn split(addr: u32) -> (usize, usize) {
+    (
+        (addr >> (PAGE_BITS + LEAF_BITS)) as usize,
+        ((addr >> PAGE_BITS) & ((1 << LEAF_BITS) - 1)) as usize,
+    )
+}
 
 /// A sparse, zero-initialized 32-bit address space.
 ///
@@ -12,9 +29,15 @@ pub const PAGE_SIZE: u32 = 1 << PAGE_BITS;
 /// Both the machine emulator and the IR interpreter execute against this
 /// type, so a lifted program literally shares the address-space model of
 /// the binary it was lifted from (the paper's Fig. 1 process image).
+///
+/// The page table is a direct two-level table: a 1024-entry directory of
+/// lazily allocated 1024-entry leaves of 4 KiB pages. A load is two
+/// indexed loads and no hashing; a store walks the table once.
 #[derive(Debug, Clone)]
 pub struct Memory {
-    pages: HashMap<u32, Box<[u8; PAGE_SIZE as usize]>>,
+    dir: Box<[Option<Box<Leaf>>; 1 << DIR_BITS]>,
+    /// Allocated pages (not leaves).
+    resident: usize,
     /// Maximum resident pages before writes are discarded and
     /// [`Memory::cap_hit`] latches. A hostile program sweeping the 4 GiB
     /// address space would otherwise allocate a page per write.
@@ -25,7 +48,7 @@ pub struct Memory {
     cap_hit: bool,
     /// Overflow scratch page, lazily allocated on the first over-cap
     /// write. Never read back through `page`.
-    scratch: Option<Box<[u8; PAGE_SIZE as usize]>>,
+    scratch: Option<Box<Page>>,
 }
 
 /// Default resident-page ceiling: 64 Ki pages = 256 MiB, far above any
@@ -35,7 +58,13 @@ pub const DEFAULT_PAGE_CAP: usize = 1 << 16;
 
 impl Default for Memory {
     fn default() -> Memory {
-        Memory { pages: HashMap::new(), page_cap: DEFAULT_PAGE_CAP, cap_hit: false, scratch: None }
+        Memory {
+            dir: Box::new([const { None }; 1 << DIR_BITS]),
+            resident: 0,
+            page_cap: DEFAULT_PAGE_CAP,
+            cap_hit: false,
+            scratch: None,
+        }
     }
 }
 
@@ -58,7 +87,7 @@ impl Memory {
 
     /// Number of currently resident (allocated) pages.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.resident
     }
 
     /// Bytes beyond which any bulk operation is guaranteed to blow the
@@ -68,19 +97,44 @@ impl Memory {
         (self.page_cap as u64 + 2) << PAGE_BITS
     }
 
-    fn page(&self, addr: u32) -> Option<&[u8; PAGE_SIZE as usize]> {
-        self.pages.get(&(addr >> PAGE_BITS)).map(|b| &**b)
+    fn page(&self, addr: u32) -> Option<&Page> {
+        let (d, l) = split(addr);
+        self.dir[d].as_ref()?[l].as_deref()
     }
 
-    fn page_mut(&mut self, addr: u32) -> &mut [u8; PAGE_SIZE as usize] {
-        let key = addr >> PAGE_BITS;
-        if !self.pages.contains_key(&key) && self.pages.len() >= self.page_cap {
-            // Over the cap: latch the flag and absorb the write into
-            // the scratch page so callers never observe a fault here.
-            self.cap_hit = true;
-            return self.scratch.get_or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]));
+    /// The page holding `addr`, allocated on first touch. Over the cap
+    /// the flag latches and the scratch page absorbs the write, so
+    /// callers never observe a fault here.
+    fn page_mut(&mut self, addr: u32) -> &mut Page {
+        let (d, l) = split(addr);
+        let Memory { dir, resident, page_cap, cap_hit, scratch } = self;
+        let leaf = &mut dir[d];
+        let missing = leaf.as_ref().is_none_or(|leaf| leaf[l].is_none());
+        if missing && *resident >= *page_cap {
+            *cap_hit = true;
+            return scratch.get_or_insert_with(new_page);
         }
-        self.pages.entry(key).or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]))
+        *resident += usize::from(missing);
+        leaf.get_or_insert_with(|| Box::new([const { None }; 1 << LEAF_BITS]))[l]
+            .get_or_insert_with(new_page)
+    }
+
+    /// Split `[addr, addr + len)` (wrapping at 4 GiB) into page-bounded
+    /// chunks in ascending address order: `(chunk start, page offset,
+    /// chunk length, bytes already covered)`.
+    fn chunks(addr: u32, len: usize) -> impl Iterator<Item = (u32, usize, usize, usize)> {
+        let mut done = 0usize;
+        std::iter::from_fn(move || {
+            if done >= len {
+                return None;
+            }
+            let a = addr.wrapping_add(done as u32);
+            let off = (a & (PAGE_SIZE - 1)) as usize;
+            let n = (PAGE_SIZE as usize - off).min(len - done);
+            let item = (a, off, n, done);
+            done += n;
+            Some(item)
+        })
     }
 
     /// Read one byte.
@@ -96,59 +150,63 @@ impl Memory {
         self.page_mut(addr)[(addr & (PAGE_SIZE - 1)) as usize] = v;
     }
 
+    /// Read `N` bytes at `addr`: one table walk when they sit in one
+    /// page, a byte loop (wrapping) when they straddle two.
+    fn load<const N: usize>(&self, addr: u32) -> [u8; N] {
+        let off = (addr & (PAGE_SIZE - 1)) as usize;
+        let mut out = [0u8; N];
+        if off + N <= PAGE_SIZE as usize {
+            if let Some(p) = self.page(addr) {
+                out.copy_from_slice(&p[off..off + N]);
+            }
+        } else {
+            for (i, b) in out.iter_mut().enumerate() {
+                *b = self.read_u8(addr.wrapping_add(i as u32));
+            }
+        }
+        out
+    }
+
+    /// Write `bytes` at `addr`, allocating pages in address order.
+    fn store<const N: usize>(&mut self, addr: u32, bytes: [u8; N]) {
+        let off = (addr & (PAGE_SIZE - 1)) as usize;
+        if off + N <= PAGE_SIZE as usize {
+            self.page_mut(addr)[off..off + N].copy_from_slice(&bytes);
+        } else {
+            for (i, b) in bytes.into_iter().enumerate() {
+                self.write_u8(addr.wrapping_add(i as u32), b);
+            }
+        }
+    }
+
     /// Read a little-endian 16-bit value.
     pub fn read_u16(&self, addr: u32) -> u16 {
-        u16::from_le_bytes([self.read_u8(addr), self.read_u8(addr.wrapping_add(1))])
+        u16::from_le_bytes(self.load(addr))
     }
 
     /// Write a little-endian 16-bit value.
     pub fn write_u16(&mut self, addr: u32, v: u16) {
-        let b = v.to_le_bytes();
-        self.write_u8(addr, b[0]);
-        self.write_u8(addr.wrapping_add(1), b[1]);
+        self.store(addr, v.to_le_bytes());
     }
 
     /// Read a little-endian 32-bit value.
     pub fn read_u32(&self, addr: u32) -> u32 {
-        let off = (addr & (PAGE_SIZE - 1)) as usize;
-        if off + 4 <= PAGE_SIZE as usize {
-            match self.page(addr) {
-                Some(p) => u32::from_le_bytes([p[off], p[off + 1], p[off + 2], p[off + 3]]),
-                None => 0,
-            }
-        } else {
-            u32::from_le_bytes([
-                self.read_u8(addr),
-                self.read_u8(addr.wrapping_add(1)),
-                self.read_u8(addr.wrapping_add(2)),
-                self.read_u8(addr.wrapping_add(3)),
-            ])
-        }
+        u32::from_le_bytes(self.load(addr))
     }
 
     /// Write a little-endian 32-bit value.
     pub fn write_u32(&mut self, addr: u32, v: u32) {
-        let off = (addr & (PAGE_SIZE - 1)) as usize;
-        let b = v.to_le_bytes();
-        if off + 4 <= PAGE_SIZE as usize {
-            let p = self.page_mut(addr);
-            p[off..off + 4].copy_from_slice(&b);
-        } else {
-            for (i, byte) in b.iter().enumerate() {
-                self.write_u8(addr.wrapping_add(i as u32), *byte);
-            }
-        }
+        self.store(addr, v.to_le_bytes());
     }
 
     /// Read a little-endian 64-bit value (the `vmov` register width).
     pub fn read_u64(&self, addr: u32) -> u64 {
-        (self.read_u32(addr) as u64) | ((self.read_u32(addr.wrapping_add(4)) as u64) << 32)
+        u64::from_le_bytes(self.load(addr))
     }
 
     /// Write a little-endian 64-bit value.
     pub fn write_u64(&mut self, addr: u32, v: u64) {
-        self.write_u32(addr, v as u32);
-        self.write_u32(addr.wrapping_add(4), (v >> 32) as u32);
+        self.store(addr, v.to_le_bytes());
     }
 
     /// Read a sized value (1, 2 or 4 bytes), zero-extended.
@@ -171,28 +229,63 @@ impl Memory {
 
     /// Copy `bytes` into memory starting at `addr`.
     pub fn write_bytes(&mut self, addr: u32, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u32), *b);
+        for (a, off, n, done) in Memory::chunks(addr, bytes.len()) {
+            self.page_mut(a)[off..off + n].copy_from_slice(&bytes[done..done + n]);
+        }
+    }
+
+    /// Set `len` bytes starting at `addr` to `v`.
+    pub fn fill(&mut self, addr: u32, len: u32, v: u8) {
+        for (a, off, n, _) in Memory::chunks(addr, len as usize) {
+            self.page_mut(a)[off..off + n].fill(v);
+        }
+    }
+
+    /// Copy `len` bytes from `src` to `dst` with the semantics of a
+    /// forward byte-at-a-time loop: where `dst` lies inside
+    /// `(src, src + len)` the copy reads bytes it has already written,
+    /// repeating the first `dst - src` bytes, exactly as that loop does.
+    pub fn copy_forward(&mut self, dst: u32, src: u32, len: u32) {
+        let dist = dst.wrapping_sub(src);
+        if dist != 0 && dist < len {
+            for i in 0..len {
+                let b = self.read_u8(src.wrapping_add(i));
+                self.write_u8(dst.wrapping_add(i), b);
+            }
+        } else {
+            // No byte is read after a write could have reached it, so a
+            // buffered copy is the same loop.
+            let bytes = self.read_bytes(src, len);
+            self.write_bytes(dst, &bytes);
         }
     }
 
     /// Read `len` bytes starting at `addr`.
     pub fn read_bytes(&self, addr: u32, len: u32) -> Vec<u8> {
-        (0..len).map(|i| self.read_u8(addr.wrapping_add(i))).collect()
+        let mut out = Vec::with_capacity(len as usize);
+        for (a, off, n, _) in Memory::chunks(addr, len as usize) {
+            match self.page(a) {
+                Some(p) => out.extend_from_slice(&p[off..off + n]),
+                None => out.resize(out.len() + n, 0),
+            }
+        }
+        out
     }
 
     /// Read a NUL-terminated C string (capped at 1 MiB to bound runaway
     /// reads of unterminated data).
     pub fn read_cstr(&self, addr: u32) -> Vec<u8> {
         let mut out = Vec::new();
-        let mut a = addr;
-        while out.len() < (1 << 20) {
-            let b = self.read_u8(a);
-            if b == 0 {
-                break;
+        for (a, off, n, _) in Memory::chunks(addr, 1 << 20) {
+            let Some(p) = self.page(a) else { break };
+            let run = &p[off..off + n];
+            match run.iter().position(|&b| b == 0) {
+                Some(end) => {
+                    out.extend_from_slice(&run[..end]);
+                    break;
+                }
+                None => out.extend_from_slice(run),
             }
-            out.push(b);
-            a = a.wrapping_add(1);
         }
         out
     }

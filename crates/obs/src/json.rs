@@ -278,6 +278,7 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -358,16 +359,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar; input is `&str`, so a
-                    // scalar always starts here.
-                    let Some(c) = std::str::from_utf8(&self.bytes[self.pos..])
-                        .ok()
-                        .and_then(|rest| rest.chars().next())
-                    else {
+                    // Copy the whole run up to the next `"` or `\` at
+                    // once. Both delimiters are ASCII and the input is
+                    // `&str`, so the run is a valid UTF-8 slice; a run
+                    // with no delimiter reaches the end of the input.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest.iter().position(|&b| b == b'"' || b == b'\\');
+                    let end = self.pos + len.unwrap_or(rest.len());
+                    let Some(run) = self.text.get(self.pos..end) else {
                         return self.err("invalid utf-8 in string");
                     };
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    s.push_str(run);
+                    self.pos = end;
                 }
             }
         }
@@ -483,7 +486,7 @@ pub fn parse_limited(text: &str, limits: &JsonLimits) -> Result<Json, ParseError
             kind: ParseErrorKind::TooLarge { size: text.len(), limit: limits.max_bytes },
         });
     }
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0, limits: *limits };
+    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0, limits: *limits };
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -584,6 +587,57 @@ mod tests {
         assert_eq!(err.kind, ParseErrorKind::TooLarge { size: 17, limit: 16 });
         // The size check runs before any parsing work.
         assert!(parse_limited(&"x".repeat(17), &limits).is_err());
+    }
+
+    #[test]
+    fn multi_mib_string_parses_in_linear_time() {
+        // One 7 MiB string of 4 Mi characters, mixing 1-, 2- and 3-byte
+        // ones. A parser that re-scans the rest of the document per
+        // character takes hours on this; a linear one, milliseconds.
+        let body = "ab\u{e9}\u{20ac}".repeat(1 << 20);
+        let doc = format!("[\"{body}\"]");
+        let start = std::time::Instant::now();
+        assert_eq!(parse(&doc).unwrap(), Json::Arr(vec![Json::Str(body)]));
+        let took = start.elapsed();
+        assert!(took < std::time::Duration::from_secs(20), "took {took:?}");
+    }
+
+    #[test]
+    fn strings_mixing_runs_and_escapes_decode() {
+        let cases = [
+            (r#""""#, ""),
+            (r#""plain run""#, "plain run"),
+            (r#""\"\\\/\n\r\t""#, "\"\\/\n\r\t"),
+            (r#""a\"b\\c\/d\ne\rf\tg""#, "a\"b\\c/d\ne\rf\tg"),
+            (r#""\u0041\u00e9\u20AC!""#, "A\u{e9}\u{20ac}!"),
+            (r#""x\ud83dy""#, "x\u{fffd}y"),
+            ("\"\u{e9}\u{20ac}\u{1f600}\\n\u{1f600}x\"", "\u{e9}\u{20ac}\u{1f600}\n\u{1f600}x"),
+            ("\"tab\there\u{1}\"", "tab\there\u{1}"),
+        ];
+        for (doc, want) in cases {
+            assert_eq!(parse(doc).unwrap(), Json::Str(want.to_string()), "{doc}");
+        }
+        let obj = parse(r#"{"k\u00e9y": "v\"al", "k2": "\u20ac"}"#).unwrap();
+        assert_eq!(obj.get("k\u{e9}y").and_then(Json::as_str), Some("v\"al"));
+        assert_eq!(obj.get("k2").and_then(Json::as_str), Some("\u{20ac}"));
+    }
+
+    #[test]
+    fn string_errors_keep_their_positions() {
+        let tail = "[\"x\", \"ab\\\"c\u{1f600}";
+        let cases = [
+            ("\"abc", 4, "unterminated string"),
+            ("{\"ab", 4, "unterminated string"),
+            (tail, tail.len(), "unterminated string"),
+            ("\"ab\\q\"", 4, "bad escape"),
+            ("\"\u{e9}\\\u{e9}\"", 4, "bad escape"),
+            ("\"\\u12", 2, "truncated \\u escape"),
+            ("\"\\u12zz\"", 2, "bad \\u escape"),
+        ];
+        for (doc, pos, what) in cases {
+            let err = parse_limited(doc, &JsonLimits::default()).unwrap_err();
+            assert_eq!(err, ParseError { pos, kind: ParseErrorKind::Syntax(what.into()) }, "{doc}");
+        }
     }
 
     #[test]

@@ -665,7 +665,16 @@ fn check_entry_text(kind: &str, key: &str, text: &str) -> Result<Json, String> {
     if checksum != sha256_hex(payload.to_string().as_bytes()) {
         return Err("checksum mismatch".to_string());
     }
-    Ok(payload.clone())
+    // Move the payload out rather than deep-copying it: `get` returns
+    // the first `"payload"` member, and so does this.
+    let Json::Obj(members) = entry else {
+        return Err("no payload".to_string());
+    };
+    members
+        .into_iter()
+        .find(|(k, _)| k == "payload")
+        .map(|(_, v)| v)
+        .ok_or_else(|| "no payload".to_string())
 }
 
 #[cfg(test)]

@@ -14,6 +14,9 @@ cargo test -q --offline --workspace
 echo "==> bench targets compile"
 cargo bench -p wyt-bench --offline --no-run
 
+echo "==> repo benchmark compiles (wytbench links the workspace crates)"
+cargo build --release --offline --manifest-path wytbench/Cargo.toml
+
 echo "==> observability report smoke test (incl. degradation schema)"
 WYT_OBS=json cargo run --release --offline -q -p wyt-bench --bin report -- --check >/dev/null
 
