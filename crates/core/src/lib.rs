@@ -13,6 +13,8 @@
 //! - [`runtime`] — refinement 3: the bounds-recovery tracing runtime with
 //!   `StackVar`s, `PointerInfo`s, the address map, linked sets, frame and
 //!   call-site descriptors, and external-function effects (§4.2, Fig. 5).
+//! - [`shadow`] — the paged shadow memory and frame-liveness set that
+//!   both tracing runtimes keep per replay.
 //! - [`layout`] — interval/link coalescing into per-function stack layouts
 //!   and super signatures (§4.2.6).
 //! - [`symbolize`] — base-pointer replacement with allocas, signature
@@ -58,6 +60,7 @@ pub mod layout;
 pub mod pipeline;
 pub mod regsave;
 pub mod runtime;
+pub mod shadow;
 pub mod spfold;
 pub mod symbolize;
 pub mod vararg;

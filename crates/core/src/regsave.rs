@@ -9,12 +9,17 @@
 //! *forwarded*: their classification is resolved after tracing with the
 //! constraint "if it is an argument anywhere downstream, it is an argument
 //! here" — exactly the paper's deferred constraint scheme.
+//!
+//! The per-step state is dense (DESIGN §18): facts live in a vector
+//! indexed by `(function, cell)`, spilled tokens in a paged
+//! [`ShadowMap`], and frame liveness in a bitset over serials.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use crate::shadow::{LiveFrames, ShadowMap};
+use std::collections::{BTreeSet, HashMap};
 use wyt_emu::{ExtId, Memory};
 use wyt_ir::interp::{ExtArgs, Hooks, Interp, InterpError, Shadow, Tagged};
 use wyt_ir::{BinOp, CmpOp, FuncId, InstId, Module, Ty};
-use wyt_lifter::{vcpu_reg_addr, vcpu_vreg_addr, LiftedMeta};
+use wyt_lifter::{vcpu_reg_addr, LiftedMeta, VCPU_BASE};
 
 /// Number of tracked register cells (8 GPRs + 2 vector halves).
 pub const NUM_CELLS: usize = 10;
@@ -22,20 +27,12 @@ pub const NUM_CELLS: usize = 10;
 /// Index of the `esp` cell.
 pub const ESP_CELL: usize = 4;
 
-/// Cell index of a vcpu cell address, if it is one.
+/// Cell index of a vcpu cell address, if it is one. The cells are 4-byte
+/// words from [`VCPU_BASE`]: the eight GPRs in encoding order, then the
+/// two vector halves.
 pub fn cell_of_addr(addr: u32) -> Option<usize> {
-    for r in wyt_isa::Reg::ALL {
-        if addr == vcpu_reg_addr(r) {
-            return Some(r.index());
-        }
-    }
-    if addr == vcpu_vreg_addr(0) {
-        return Some(8);
-    }
-    if addr == vcpu_vreg_addr(1) {
-        return Some(9);
-    }
-    None
+    let off = addr.wrapping_sub(VCPU_BASE);
+    (off < 4 * NUM_CELLS as u32 && off.is_multiple_of(4)).then_some((off / 4) as usize)
 }
 
 /// Final classification of a register with respect to one function.
@@ -57,7 +54,21 @@ struct CellFacts {
     used_in_op: bool,
     stored_outside: bool,
     not_restored: bool,
-    forwarded_to: BTreeSet<(FuncId, usize)>,
+    /// Fact indices (see [`fact_ix`]) of the callee cells this cell was
+    /// passed to untouched.
+    forwarded_to: BTreeSet<usize>,
+}
+
+/// Index of the facts of `(f, cell)` in a dense fact vector.
+fn fact_ix(f: FuncId, cell: usize) -> usize {
+    f.index() * NUM_CELLS + cell
+}
+
+/// The symbolic token of `cell` in the frame with serial `serial`.
+fn token(serial: u32, cell: usize) -> Shadow {
+    // INVARIANT: a frame costs the interpreter at least two steps and its
+    // fuel is 5e8, so serials stay below u32::MAX / NUM_CELLS.
+    serial * NUM_CELLS as Shadow + cell as Shadow
 }
 
 /// Result of the analysis.
@@ -88,63 +99,54 @@ impl RegSaveInfo {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Token {
-    func: FuncId,
-    cell: usize,
-    serial: u32,
-}
-
 struct Frame {
     func: FuncId,
     serial: u32,
     sp0: u32,
-    entry_tokens: [Shadow; NUM_CELLS],
     caller_shadows: [Option<Shadow>; NUM_CELLS],
 }
 
 /// The analysis hook.
+///
+/// A token names its frame serial and cell ([`token`]), so it needs no
+/// table; `frame_funcs` gives the frame's function.
 pub struct RegSaveHook {
-    tokens: Vec<Token>,
-    facts: HashMap<(FuncId, usize), CellFacts>,
+    /// Function of each frame serial.
+    frame_funcs: Vec<FuncId>,
+    /// Indexed by [`fact_ix`].
+    facts: Vec<CellFacts>,
     frames: Vec<Frame>,
-    active_serials: BTreeSet<u32>,
-    next_serial: u32,
+    live: LiveFrames,
     /// Shadow currently stored in each vcpu cell.
     cell_shadows: [Option<Shadow>; NUM_CELLS],
     /// Address → shadow for spilled tokens (4-byte entries).
-    addr_map: HashMap<u32, Shadow>,
+    addr_map: ShadowMap,
     cur_esp: u32,
     indirect_targets: HashMap<(FuncId, InstId), BTreeSet<FuncId>>,
 }
 
 impl RegSaveHook {
-    fn new() -> RegSaveHook {
+    fn new(num_funcs: usize) -> RegSaveHook {
         RegSaveHook {
-            tokens: Vec::new(),
-            facts: HashMap::new(),
+            frame_funcs: Vec::new(),
+            facts: vec![CellFacts::default(); num_funcs * NUM_CELLS],
             frames: Vec::new(),
-            active_serials: BTreeSet::new(),
-            next_serial: 0,
+            live: LiveFrames::new(),
             cell_shadows: [None; NUM_CELLS],
-            addr_map: HashMap::new(),
+            addr_map: ShadowMap::new(),
             cur_esp: 0,
             indirect_targets: HashMap::new(),
         }
     }
 
-    fn token(&self, s: Shadow) -> Token {
-        self.tokens[s as usize]
-    }
-
     /// A shadow is meaningful only while its owning frame is live.
     fn live(&self, s: Shadow) -> bool {
-        self.active_serials.contains(&self.token(s).serial)
+        self.live.is_live(s / NUM_CELLS as Shadow)
     }
 
     fn fact(&mut self, s: Shadow) -> &mut CellFacts {
-        let t = self.token(s);
-        self.facts.entry((t.func, t.cell)).or_default()
+        let (serial, cell) = (s as usize / NUM_CELLS, s as usize % NUM_CELLS);
+        &mut self.facts[fact_ix(self.frame_funcs[serial], cell)]
     }
 
     fn mark_op_use(&mut self, s: Option<Shadow>) {
@@ -154,52 +156,48 @@ impl RegSaveHook {
             }
         }
     }
-
-    fn invalidate_range(&mut self, addr: u32, size: u32) {
-        // Entries are 4 bytes wide starting at their key.
-        for k in addr.saturating_sub(3)..addr.wrapping_add(size) {
-            self.addr_map.remove(&k);
-        }
-    }
 }
 
 impl Hooks for RegSaveHook {
     fn fn_enter(
         &mut self,
         f: FuncId,
-        _callsite: Option<(FuncId, InstId)>,
+        callsite: Option<(FuncId, InstId)>,
         _args: &[Tagged],
         mem: &Memory,
     ) {
-        let serial = self.next_serial;
-        self.next_serial += 1;
-        self.active_serials.insert(serial);
+        // Forwarding edges: cells of the (still current) parent frame that
+        // hold its own entry token pass it untouched to the callee.
+        if let (Some(_), Some(parent)) = (callsite, self.frames.last()) {
+            for cell in 0..NUM_CELLS {
+                if self.cell_shadows[cell] == Some(token(parent.serial, cell)) {
+                    self.facts[fact_ix(parent.func, cell)].forwarded_to.insert(fact_ix(f, cell));
+                }
+            }
+        }
+        let serial = self.live.enter();
+        self.frame_funcs.push(f);
         let sp0 = mem.read_u32(vcpu_reg_addr(wyt_isa::Reg::Esp));
         self.cur_esp = sp0;
-        let mut entry_tokens = [0; NUM_CELLS];
-        let mut caller_shadows = [None; NUM_CELLS];
+        let caller_shadows = self.cell_shadows;
         for cell in 0..NUM_CELLS {
-            let tok = self.tokens.len() as Shadow;
-            self.tokens.push(Token { func: f, cell, serial });
-            caller_shadows[cell] = self.cell_shadows[cell];
-            self.cell_shadows[cell] = Some(tok);
-            entry_tokens[cell] = tok;
-            self.facts.entry((f, cell)).or_default().entered = true;
+            self.cell_shadows[cell] = Some(token(serial, cell));
+            self.facts[fact_ix(f, cell)].entered = true;
         }
-        self.frames.push(Frame { func: f, serial, sp0, entry_tokens, caller_shadows });
+        self.frames.push(Frame { func: f, serial, sp0, caller_shadows });
     }
 
     fn fn_exit(&mut self, f: FuncId, _ret: Option<Tagged>, _mem: &Memory) {
         let Some(frame) = self.frames.pop() else { return };
         debug_assert_eq!(frame.func, f);
-        self.active_serials.remove(&frame.serial);
+        self.live.exit(frame.serial);
         for cell in 0..NUM_CELLS {
-            let restored = self.cell_shadows[cell] == Some(frame.entry_tokens[cell]);
+            let restored = self.cell_shadows[cell] == Some(token(frame.serial, cell));
             if restored {
                 // The caller's tracking resumes seamlessly.
                 self.cell_shadows[cell] = frame.caller_shadows[cell];
             } else {
-                self.facts.entry((f, cell)).or_default().not_restored = true;
+                self.facts[fact_ix(f, cell)].not_restored = true;
                 self.cell_shadows[cell] = None;
             }
         }
@@ -212,9 +210,6 @@ impl Hooks for RegSaveHook {
     fn call_pre(&mut self, caller: FuncId, inst: InstId, callee: FuncId, _mem: &Memory) {
         // Record observed targets per call site (used for indirect calls).
         self.indirect_targets.entry((caller, inst)).or_default().insert(callee);
-        // Forwarding edges (cells still holding the caller's entry token)
-        // are recorded by the wrapper hook at fn_enter, where the callee's
-        // identity and the parent frame are both at hand.
     }
 
     fn bin(
@@ -242,7 +237,7 @@ impl Hooks for RegSaveHook {
             return self.cell_shadows[cell].filter(|s| self.live(*s));
         }
         if ty == Ty::I32 {
-            return self.addr_map.get(&addr.0).copied().filter(|s| self.live(*s));
+            return self.addr_map.get(addr.0).filter(|&s| self.live(s));
         }
         None
     }
@@ -256,7 +251,7 @@ impl Hooks for RegSaveHook {
             self.cell_shadows[cell] = val.1.filter(|s| self.live(*s));
             return;
         }
-        self.invalidate_range(addr.0, ty.bytes());
+        self.addr_map.invalidate(addr.0, ty.bytes());
         let Some(s) = val.1.filter(|s| self.live(*s)) else { return };
         // Is the destination inside the current frame?
         let in_frame = self
@@ -285,81 +280,6 @@ impl Hooks for RegSaveHook {
     }
 }
 
-/// Complete the forwarding bookkeeping that `call_pre`/`fn_enter` split:
-/// executed as part of [`analyze`] by re-walking with a second composite
-/// hook is unnecessary — instead forwarding edges are recorded here at
-/// `fn_enter` time via the parent frame.
-struct ForwardingHook {
-    inner: RegSaveHook,
-}
-
-impl Hooks for ForwardingHook {
-    fn fn_enter(
-        &mut self,
-        f: FuncId,
-        callsite: Option<(FuncId, InstId)>,
-        args: &[Tagged],
-        mem: &Memory,
-    ) {
-        // Record forwarding edges from the (still current) parent frame.
-        if callsite.is_some() {
-            if let Some(parent) = self.inner.frames.last() {
-                let pf = parent.func;
-                let mut fw = Vec::new();
-                for cell in 0..NUM_CELLS {
-                    if self.inner.cell_shadows[cell] == Some(parent.entry_tokens[cell]) {
-                        fw.push(cell);
-                    }
-                }
-                for cell in fw {
-                    self.inner.facts.entry((pf, cell)).or_default().forwarded_to.insert((f, cell));
-                }
-            }
-        }
-        self.inner.fn_enter(f, callsite, args, mem);
-    }
-
-    fn fn_exit(&mut self, f: FuncId, ret: Option<Tagged>, mem: &Memory) {
-        self.inner.fn_exit(f, ret, mem);
-    }
-
-    fn call_pre(&mut self, caller: FuncId, inst: InstId, callee: FuncId, mem: &Memory) {
-        self.inner.call_pre(caller, inst, callee, mem);
-    }
-
-    fn bin(
-        &mut self,
-        f: FuncId,
-        i: InstId,
-        op: BinOp,
-        a: Tagged,
-        b: Tagged,
-        r: u32,
-    ) -> Option<Shadow> {
-        self.inner.bin(f, i, op, a, b, r)
-    }
-
-    fn cmp(&mut self, f: FuncId, i: InstId, op: CmpOp, a: Tagged, b: Tagged) {
-        self.inner.cmp(f, i, op, a, b)
-    }
-
-    fn load(&mut self, f: FuncId, i: InstId, ty: Ty, addr: Tagged, val: u32) -> Option<Shadow> {
-        self.inner.load(f, i, ty, addr, val)
-    }
-
-    fn store(&mut self, f: FuncId, i: InstId, ty: Ty, addr: Tagged, val: Tagged) {
-        self.inner.store(f, i, ty, addr, val)
-    }
-
-    fn transparent(&mut self, s: Option<Shadow>) -> Option<Shadow> {
-        self.inner.transparent(s)
-    }
-
-    fn ext_call(&mut self, f: FuncId, i: InstId, e: ExtId, args: &ExtArgs<'_>, mem: &Memory) {
-        self.inner.ext_call(f, i, e, args, mem)
-    }
-}
-
 /// Run the saved-register analysis over all inputs and classify.
 ///
 /// # Errors
@@ -372,20 +292,19 @@ pub fn analyze(
     // Per-input replays are independent: run them on the pool and merge
     // facts in input order (the merge is a monotone union keyed by
     // (FuncId, cell), so the result equals a serial sweep).
+    let num_funcs = module.funcs.len();
     let runs = wyt_par::par_map(inputs, |_, input| {
-        let mut interp =
-            Interp::new(module, input.clone(), ForwardingHook { inner: RegSaveHook::new() });
+        let mut interp = Interp::new(module, input.clone(), RegSaveHook::new(num_funcs));
         let out = interp.run();
-        (out.error, interp.hooks.inner)
+        (out.error, interp.hooks)
     });
-    let mut facts: HashMap<(FuncId, usize), CellFacts> = HashMap::new();
+    let mut facts = vec![CellFacts::default(); num_funcs * NUM_CELLS];
     let mut indirect: HashMap<(FuncId, InstId), BTreeSet<FuncId>> = HashMap::new();
     for (error, hook) in runs {
         if let Some(e) = error {
             return Err(e);
         }
-        for (k, v) in hook.facts {
-            let e = facts.entry(k).or_default();
+        for (e, v) in facts.iter_mut().zip(hook.facts) {
             e.entered |= v.entered;
             e.used_in_op |= v.used_in_op;
             e.stored_outside |= v.stored_outside;
@@ -398,19 +317,12 @@ pub fn analyze(
     }
 
     // Fixpoint: argument-ness propagates backwards along forwarding edges.
-    let mut argument: BTreeMap<(FuncId, usize), bool> = BTreeMap::new();
-    for (k, f) in &facts {
-        argument.insert(*k, f.used_in_op || f.stored_outside);
-    }
+    let mut argument: Vec<bool> = facts.iter().map(|f| f.used_in_op || f.stored_outside).collect();
     loop {
         let mut changed = false;
-        for (k, f) in &facts {
-            if argument.get(k).copied().unwrap_or(false) {
-                continue;
-            }
-            let any = f.forwarded_to.iter().any(|t| argument.get(t).copied().unwrap_or(false));
-            if any {
-                argument.insert(*k, true);
+        for (k, f) in facts.iter().enumerate() {
+            if !argument[k] && f.forwarded_to.iter().any(|&t| argument[t]) {
+                argument[k] = true;
                 changed = true;
             }
         }
@@ -419,12 +331,14 @@ pub fn analyze(
         }
     }
 
+    let no_facts = CellFacts::default();
     let mut class: HashMap<FuncId, [RegClass; NUM_CELLS]> = HashMap::new();
-    for (fid, _) in meta.func_by_addr.iter().map(|(a, f)| (*f, a)) {
+    for &fid in meta.func_by_addr.values() {
         let mut cs = [RegClass::Clobbered; NUM_CELLS];
         for (cell, c) in cs.iter_mut().enumerate() {
-            let fact = facts.get(&(fid, cell)).cloned().unwrap_or_default();
-            let is_arg = argument.get(&(fid, cell)).copied().unwrap_or(false);
+            let k = fact_ix(fid, cell);
+            let fact = facts.get(k).unwrap_or(&no_facts);
+            let is_arg = argument.get(k).copied().unwrap_or(false);
             *c = if is_arg {
                 RegClass::Argument
             } else if fact.entered && !fact.not_restored {
@@ -461,6 +375,22 @@ mod tests {
         let lifted = lift_image(&stripped, &inputs).unwrap();
         let info = analyze(&lifted.module, &lifted.meta, &inputs).unwrap();
         (info, lifted, img)
+    }
+
+    #[test]
+    fn cell_of_addr_matches_a_scan_of_the_cell_addresses() {
+        // The plain statement: compare against every cell's address.
+        let scan = |addr: u32| -> Option<usize> {
+            let regs = wyt_isa::Reg::ALL.iter().map(|&r| (vcpu_reg_addr(r), r.index()));
+            let vregs = [(wyt_lifter::vcpu_vreg_addr(0), 8), (wyt_lifter::vcpu_vreg_addr(1), 9)];
+            regs.chain(vregs).find(|&(a, _)| a == addr).map(|(_, cell)| cell)
+        };
+        for addr in VCPU_BASE - 8..VCPU_BASE + 4 * NUM_CELLS as u32 + 8 {
+            assert_eq!(cell_of_addr(addr), scan(addr), "{addr:#x}");
+        }
+        for addr in [0, 4, u32::MAX - 3, VCPU_BASE.wrapping_neg()] {
+            assert_eq!(cell_of_addr(addr), scan(addr), "{addr:#x}");
+        }
     }
 
     #[test]

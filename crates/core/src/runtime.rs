@@ -4,9 +4,12 @@
 //! During execution the runtime tracks, per value, a `PointerInfo` —
 //! which variable the value points into and at what offset — through the
 //! paper's core operations (`derive`, `derive2`, `link`, `load`, `store`,
-//! `copy`) plus an address map for pointers that round-trip through
-//! memory, frame descriptors for recursion, call-site argument recording,
-//! and the external-function effect constraints of §5.3.
+//! `copy`) plus an address map (a paged [`ShadowMap`]) for pointers that
+//! round-trip through memory, frame descriptors for recursion, call-site
+//! argument recording, and the external-function effect constraints of
+//! §5.3. The per-step state is dense (DESIGN §18): fold results become
+//! per-function tables, variables and call sites get integer slots, and
+//! frame liveness is a bitset over serials.
 //!
 //! Faithful details:
 //! - bounds update **only at dereference** (false derives, §4.2.3);
@@ -16,11 +19,12 @@
 //!   call-site descriptor, not as callee variables (§4.2.5);
 //! - linked variables merge only when both have defined bounds (§4.2.4).
 
+use crate::shadow::{LiveFrames, ShadowMap};
 use crate::spfold::FoldInfo;
 use std::collections::{BTreeSet, HashMap};
 use wyt_emu::{ExtId, Memory};
 use wyt_ir::interp::{ExtArgs, Hooks, Interp, InterpError, Shadow, Tagged};
-use wyt_ir::{BinOp, CmpOp, FuncId, InstId, Module, Ty, Val};
+use wyt_ir::{BinOp, CmpOp, FuncId, InstId, Module, Ty};
 use wyt_lifter::{ext_sig, ExtEffect, SizeSpec};
 
 /// Identity of a stack variable candidate: the static base pointer.
@@ -87,13 +91,11 @@ pub struct BoundsInfo {
 
 #[derive(Debug, Clone, Copy)]
 enum PiVar {
-    /// A variable of the frame with the given serial.
-    Var(VarKey),
-    /// The argument area of the frame entered through `callsite`.
-    Args {
-        /// The call site (caller function, call instruction).
-        callsite: (FuncId, InstId),
-    },
+    /// A candidate variable, by its slot in [`FoldTables`].
+    Var(u32),
+    /// The argument area of the frame entered through a call site, by the
+    /// hook's slot for that call site.
+    Args(u32),
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -105,40 +107,135 @@ struct Pi {
     serial: u32,
 }
 
+/// A canonical base pointer: its `sp0`-relative offset and, when it
+/// points below `sp0`, its variable slot.
+#[derive(Debug, Clone, Copy)]
+struct BasePtr {
+    k: i32,
+    slot: u32,
+}
+
+#[derive(Debug, Clone, Default)]
+struct FuncTable {
+    /// The entry instruction holding `sp0`.
+    sp0: Option<InstId>,
+    /// Base pointers, indexed by instruction.
+    base: Vec<Option<BasePtr>>,
+}
+
+/// The fold results the runtime consults on every step, as dense tables
+/// indexed by function and instruction. Built once per [`trace_bounds`]
+/// call and shared by every input's replay.
+///
+/// Every base pointer below `sp0` gets a variable slot. Slots are handed
+/// out in `(FuncId, InstId)` order, so ordering slots orders their keys.
+#[derive(Debug, Clone, Default)]
+pub struct FoldTables {
+    funcs: Vec<FuncTable>,
+    /// Per variable slot: the key and its `sp0` offset.
+    vars: Vec<(VarKey, i32)>,
+}
+
+impl FoldTables {
+    /// Tables for the given fold results.
+    pub fn new(fold: &FoldInfo) -> FoldTables {
+        let mut ids: Vec<FuncId> = fold.funcs.keys().copied().collect();
+        ids.sort();
+        let mut t = FoldTables::default();
+        for f in ids {
+            let folded = &fold.funcs[&f];
+            let len = folded.base_ptrs.keys().next_back().map_or(0, |i| i.index() + 1);
+            let mut base = vec![None; len];
+            for (&inst, &k) in &folded.base_ptrs {
+                let slot = t.vars.len() as u32;
+                if k < 0 {
+                    t.vars.push(((f, inst), k));
+                }
+                base[inst.index()] = Some(BasePtr { k, slot });
+            }
+            if t.funcs.len() <= f.index() {
+                t.funcs.resize_with(f.index() + 1, FuncTable::default);
+            }
+            t.funcs[f.index()] = FuncTable { sp0: folded.sp0, base };
+        }
+        t
+    }
+
+    fn base(&self, f: FuncId, inst: InstId) -> Option<BasePtr> {
+        self.funcs.get(f.index())?.base.get(inst.index()).copied().flatten()
+    }
+
+    fn is_sp0(&self, f: FuncId, inst: InstId) -> bool {
+        self.funcs.get(f.index()).is_some_and(|t| t.sp0 == Some(inst))
+    }
+}
+
 struct Frame {
-    #[allow(dead_code)]
-    func: FuncId,
     serial: u32,
-    #[allow(dead_code)]
-    sp0: u32,
     callsite: Option<(FuncId, InstId)>,
+    /// The hook's slot for `callsite`, assigned on the first access to
+    /// this frame's arguments.
+    args_slot: Option<u32>,
 }
 
 /// The tracing runtime hook.
 pub struct BoundsHook<'a> {
-    fold: &'a FoldInfo,
-    /// Base-pointer registry: (func, inst) → sp0 offset.
+    tables: &'a FoldTables,
+    /// Every `PointerInfo` issued, indexed by shadow id.
     pis: Vec<Pi>,
-    /// Collected results.
-    pub info: BoundsInfo,
+    /// Per variable slot.
+    vars: Vec<VarData>,
+    /// Per variable slot: its base pointer executed.
+    seen: Vec<bool>,
+    links: BTreeSet<(u32, u32)>,
+    /// Per call-site slot.
+    callsites: Vec<((FuncId, InstId), CallSiteArgs)>,
+    callsite_slots: HashMap<(FuncId, InstId), u32>,
+    /// Indexed by function.
+    entered: Vec<bool>,
     frames: Vec<Frame>,
-    active: BTreeSet<u32>,
-    next_serial: u32,
-    addr_map: HashMap<u32, Shadow>,
+    live: LiveFrames,
+    addr_map: ShadowMap,
 }
 
 impl<'a> BoundsHook<'a> {
-    /// New runtime over the folded module.
-    pub fn new(fold: &'a FoldInfo) -> BoundsHook<'a> {
+    /// New runtime over the folded module's tables.
+    pub fn new(tables: &'a FoldTables) -> BoundsHook<'a> {
         BoundsHook {
-            fold,
+            tables,
             pis: Vec::new(),
-            info: BoundsInfo::default(),
+            vars: vec![VarData::default(); tables.vars.len()],
+            seen: vec![false; tables.vars.len()],
+            links: BTreeSet::new(),
+            callsites: Vec::new(),
+            callsite_slots: HashMap::new(),
+            entered: Vec::new(),
             frames: Vec::new(),
-            active: BTreeSet::new(),
-            next_serial: 0,
-            addr_map: HashMap::new(),
+            live: LiveFrames::new(),
+            addr_map: ShadowMap::new(),
         }
+    }
+
+    /// Everything this replay learned. A variable is present exactly when
+    /// its base pointer executed, a call site exactly when its arguments
+    /// were accessed.
+    pub fn into_info(self) -> BoundsInfo {
+        let keys = &self.tables.vars;
+        let vars = keys
+            .iter()
+            .zip(self.vars)
+            .zip(&self.seen)
+            .filter(|(_, &seen)| seen)
+            .map(|((&(key, k), v), _)| (key, VarData { sp0_off: k, ..v }))
+            .collect();
+        let links =
+            self.links.iter().map(|&(a, b)| (keys[a as usize].0, keys[b as usize].0)).collect();
+        let callsite_args = self.callsites.into_iter().filter(|(_, a)| a.lo.is_some()).collect();
+        let entered = (0..self.entered.len())
+            .filter(|&i| self.entered[i])
+            .map(|i| FuncId(i as u32))
+            .collect();
+        BoundsInfo { vars, links, callsite_args, entered }
     }
 
     fn mk(&mut self, pi: Pi) -> Shadow {
@@ -146,54 +243,58 @@ impl<'a> BoundsHook<'a> {
         self.pis.len() as Shadow - 1
     }
 
-    fn pi(&self, s: Shadow) -> Pi {
-        self.pis[s as usize]
+    /// A shadow is meaningful only while its owning frame is live.
+    fn live(&self, s: Shadow) -> bool {
+        self.live.is_live(self.pis[s as usize].serial)
     }
 
     fn live_pi(&self, s: Option<Shadow>) -> Option<Pi> {
-        let s = s?;
-        let pi = self.pi(s);
-        self.active.contains(&pi.serial).then_some(pi)
-    }
-
-    fn var_data(&mut self, key: VarKey) -> &mut VarData {
-        self.info.vars.entry(key).or_default()
+        let pi = self.pis[s? as usize];
+        self.live.is_live(pi.serial).then_some(pi)
     }
 
     /// Record a dereference at `pi` covering `size` bytes.
     fn deref(&mut self, pi: Pi, size: u32) {
         match pi.var {
-            PiVar::Var(key) => {
-                self.var_data(key).access(pi.off, size);
-            }
-            PiVar::Args { callsite } => {
-                self.info.callsite_args.entry(callsite).or_default().access(pi.off, size);
-            }
+            PiVar::Var(slot) => self.vars[slot as usize].access(pi.off, size),
+            PiVar::Args(slot) => self.callsites[slot as usize].1.access(pi.off, size),
         }
     }
 
     fn link(&mut self, a: Pi, b: Pi) {
-        if let (PiVar::Var(ka), PiVar::Var(kb)) = (a.var, b.var) {
-            if ka != kb {
-                let (x, y) = if ka < kb { (ka, kb) } else { (kb, ka) };
-                self.info.links.insert((x, y));
+        if let (PiVar::Var(x), PiVar::Var(y)) = (a.var, b.var) {
+            if x != y {
+                self.links.insert((x.min(y), x.max(y)));
             }
         }
     }
 
-    fn invalidate_range(&mut self, addr: u32, size: u32) {
-        for k in addr.saturating_sub(3)..addr.wrapping_add(size) {
-            self.addr_map.remove(&k);
+    /// The argument slot of the innermost frame, if it was entered
+    /// through a call.
+    fn args_slot(&mut self) -> Option<u32> {
+        let frame = self.frames.last_mut()?;
+        if frame.args_slot.is_none() {
+            let cs = frame.callsite?;
+            let next = self.callsites.len() as u32;
+            let slot = *self.callsite_slots.entry(cs).or_insert(next);
+            if slot == next {
+                self.callsites.push((cs, CallSiteArgs::default()));
+            }
+            frame.args_slot = Some(slot);
         }
+        frame.args_slot
     }
 
-    fn apply_ext_effects(
-        &mut self,
-        ext: ExtId,
-        argv: &[(u32, Option<Shadow>)],
-        ret: Option<u32>,
-        mem: &Memory,
-    ) {
+    fn raw_args(&self, sp: u32, mem: &Memory) -> Vec<(u32, Option<Shadow>)> {
+        (0..8)
+            .map(|k| {
+                let a = sp.wrapping_add(4 * k);
+                (mem.read_u32(a), self.addr_map.get(a))
+            })
+            .collect()
+    }
+
+    fn apply_ext_effects(&mut self, ext: ExtId, argv: &[(u32, Option<Shadow>)], mem: &Memory) {
         let sig = ext_sig(ext);
         let size_of = |spec: SizeSpec, argv: &[(u32, Option<Shadow>)]| -> u32 {
             match spec {
@@ -224,25 +325,16 @@ impl<'a> BoundsHook<'a> {
                 ExtEffect::Clear { ptr, size } => {
                     let p = argv.get(ptr).map(|a| a.0).unwrap_or(0);
                     let sz = size_of(size, argv);
-                    self.invalidate_range(p, sz);
+                    self.addr_map.invalidate(p, sz);
                 }
                 ExtEffect::Copy { dst, src, size } => {
                     let d = argv.get(dst).map(|a| a.0).unwrap_or(0);
                     let s = argv.get(src).map(|a| a.0).unwrap_or(0);
                     let sz = size_of(size, argv);
-                    let entries: Vec<(u32, Shadow)> = (0..sz)
-                        .filter_map(|k| self.addr_map.get(&s.wrapping_add(k)).map(|sh| (k, *sh)))
-                        .collect();
-                    self.invalidate_range(d, sz);
-                    for (k, sh) in entries {
-                        self.addr_map.insert(d.wrapping_add(k), sh);
-                    }
+                    self.addr_map.copy(d, s, sz);
                 }
-                ExtEffect::DeriveRet { base } => {
-                    // handled in ext_ret (needs the return value)
-                    let _ = (base, ret);
-                }
-                ExtEffect::FormatStr { .. } => {}
+                // DeriveRet needs the return value: handled in ext_ret.
+                ExtEffect::DeriveRet { .. } | ExtEffect::FormatStr { .. } => {}
             }
         }
     }
@@ -254,19 +346,19 @@ impl Hooks for BoundsHook<'_> {
         f: FuncId,
         callsite: Option<(FuncId, InstId)>,
         _args: &[Tagged],
-        mem: &Memory,
+        _mem: &Memory,
     ) {
-        let serial = self.next_serial;
-        self.next_serial += 1;
-        self.active.insert(serial);
-        let sp0 = mem.read_u32(wyt_lifter::vcpu_reg_addr(wyt_isa::Reg::Esp));
-        self.info.entered.insert(f);
-        self.frames.push(Frame { func: f, serial, sp0, callsite });
+        let serial = self.live.enter();
+        if self.entered.len() <= f.index() {
+            self.entered.resize(f.index() + 1, false);
+        }
+        self.entered[f.index()] = true;
+        self.frames.push(Frame { serial, callsite, args_slot: None });
     }
 
     fn fn_exit(&mut self, _f: FuncId, _ret: Option<Tagged>, _mem: &Memory) {
         if let Some(fr) = self.frames.pop() {
-            self.active.remove(&fr.serial);
+            self.live.exit(fr.serial);
         }
     }
 
@@ -280,27 +372,20 @@ impl Hooks for BoundsHook<'_> {
         res: u32,
     ) -> Option<Shadow> {
         // Is this instruction a registered base pointer?
-        if let Some(folded) = self.fold.funcs.get(&f) {
-            if let Some(&k) = folded.base_ptrs.get(&inst) {
-                let frame = self.frames.last()?;
-                let serial = frame.serial;
-                let callsite = frame.callsite;
-                // Pointers at or above sp0 refer to the caller's frame —
-                // they are this invocation's *arguments* (§4.2.5). The
-                // return-address slot occupies [0, 4).
-                if k >= 4 {
-                    let cs = callsite?;
-                    let pi = Pi { var: PiVar::Args { callsite: cs }, off: k - 4, serial };
-                    return Some(self.mk(pi));
-                }
-                if k >= 0 {
-                    return None; // the return-address slot: untracked
-                }
-                let key = (f, inst);
-                self.var_data(key).sp0_off = k;
-                let pi = Pi { var: PiVar::Var(key), off: 0, serial };
-                return Some(self.mk(pi));
+        if let Some(bp) = self.tables.base(f, inst) {
+            let serial = self.frames.last()?.serial;
+            // Pointers at or above sp0 refer to the caller's frame —
+            // they are this invocation's *arguments* (§4.2.5). The
+            // return-address slot occupies [0, 4).
+            if bp.k >= 4 {
+                let slot = self.args_slot()?;
+                return Some(self.mk(Pi { var: PiVar::Args(slot), off: bp.k - 4, serial }));
             }
+            if bp.k >= 0 {
+                return None; // the return-address slot: untracked
+            }
+            self.seen[bp.slot as usize] = true;
+            return Some(self.mk(Pi { var: PiVar::Var(bp.slot), off: 0, serial }));
         }
         match op {
             BinOp::Add | BinOp::Sub => {
@@ -325,15 +410,13 @@ impl Hooks for BoundsHook<'_> {
                 }
             }
             BinOp::And => {
-                // Alignment operation: record the mask, keep tracking.
+                // Alignment operation: record the mask (the concrete
+                // non-pointer operand), keep tracking.
                 if let Some(p) = self.live_pi(a.1) {
-                    if let Val::Const(_) = Val::Const(0) {
-                        // mask from the concrete non-pointer operand
-                    }
                     let mask = b.0;
                     if mask.leading_zeros() == 0 || mask > 0xffff {
-                        if let PiVar::Var(key) = p.var {
-                            self.var_data(key).align = Some(!mask + 1);
+                        if let PiVar::Var(slot) = p.var {
+                            self.vars[slot as usize].align = Some(!mask + 1);
                         }
                         let off = (res as i32) - ((a.0 as i32) - p.off);
                         return Some(self.mk(Pi { off, ..p }));
@@ -352,23 +435,16 @@ impl Hooks for BoundsHook<'_> {
     }
 
     fn load(&mut self, f: FuncId, inst: InstId, ty: Ty, addr: Tagged, _val: u32) -> Option<Shadow> {
-        // The entry sp0 load re-reads the stack pointer; give it the base
-        // pointer shadow for offset 0.
-        if let Some(folded) = self.fold.funcs.get(&f) {
-            if folded.sp0 == Some(inst) {
-                // sp0 itself: offset 0 base pointer — but as the frame's
-                // own pointer it is never dereferenced; skip tracking.
-                return None;
-            }
+        // The entry sp0 load re-reads the stack pointer: as the frame's
+        // own pointer it is never dereferenced; skip tracking.
+        if self.tables.is_sp0(f, inst) {
+            return None;
         }
         if let Some(pi) = self.live_pi(addr.1) {
             self.deref(pi, ty.bytes());
         }
         if ty == Ty::I32 {
-            return self.addr_map.get(&addr.0).copied().filter(|s| {
-                let pi = self.pi(*s);
-                self.active.contains(&pi.serial)
-            });
+            return self.addr_map.get(addr.0).filter(|&s| self.live(s));
         }
         None
     }
@@ -377,31 +453,24 @@ impl Hooks for BoundsHook<'_> {
         if let Some(pi) = self.live_pi(addr.1) {
             self.deref(pi, ty.bytes());
         }
-        self.invalidate_range(addr.0, ty.bytes());
+        self.addr_map.invalidate(addr.0, ty.bytes());
         if ty == Ty::I32 {
-            if let Some(s) = val.1 {
-                if self.active.contains(&self.pi(s).serial) {
-                    self.addr_map.insert(addr.0, s);
-                }
+            if let Some(s) = val.1.filter(|&s| self.live(s)) {
+                self.addr_map.insert(addr.0, s);
             }
         }
     }
 
     fn transparent(&mut self, s: Option<Shadow>) -> Option<Shadow> {
-        s.filter(|s| self.active.contains(&self.pi(*s).serial))
+        s.filter(|&s| self.live(s))
     }
 
     fn ext_call(&mut self, _f: FuncId, _i: InstId, ext: ExtId, args: &ExtArgs<'_>, mem: &Memory) {
-        let argv: Vec<(u32, Option<Shadow>)> = match args {
+        let argv = match args {
             ExtArgs::Explicit(vals) => vals.to_vec(),
-            ExtArgs::Raw { sp, .. } => (0..8)
-                .map(|k| {
-                    let a = sp.wrapping_add(4 * k);
-                    (mem.read_u32(a), self.addr_map.get(&a).copied())
-                })
-                .collect(),
+            ExtArgs::Raw { sp, .. } => self.raw_args(*sp, mem),
         };
-        self.apply_ext_effects(ext, &argv, None, mem);
+        self.apply_ext_effects(ext, &argv, mem);
     }
 
     fn ext_ret(
@@ -416,14 +485,9 @@ impl Hooks for BoundsHook<'_> {
         let sig = ext_sig(ext);
         for eff in &sig.effects {
             if let ExtEffect::DeriveRet { base } = *eff {
-                let argv: Vec<(u32, Option<Shadow>)> = match args {
+                let argv = match args {
                     ExtArgs::Explicit(vals) => vals.to_vec(),
-                    ExtArgs::Raw { sp, .. } => (0..8)
-                        .map(|k| {
-                            let a = sp.wrapping_add(4 * k);
-                            (mem.read_u32(a), self.addr_map.get(&a).copied())
-                        })
-                        .collect(),
+                    ExtArgs::Raw { sp, .. } => self.raw_args(*sp, mem),
                 };
                 if let Some(pi) = self.live_pi(argv.get(base).and_then(|a| a.1)) {
                     if ret == 0 {
@@ -448,14 +512,15 @@ pub fn trace_bounds(
     fold: &FoldInfo,
     inputs: &[Vec<u8>],
 ) -> Result<BoundsInfo, InterpError> {
+    let tables = FoldTables::new(fold);
     // Independent per-input replays run concurrently; observations merge
     // **in input order** below, because parts of the merge (`sp0_off`,
     // `align` overwrites) are order-sensitive and the result must be
     // byte-identical to the serial sweep.
     let runs = wyt_par::par_map(inputs, |_, input| {
-        let mut interp = Interp::new(module, input.clone(), BoundsHook::new(fold));
+        let mut interp = Interp::new(module, input.clone(), BoundsHook::new(&tables));
         let out = interp.run();
-        (out.error, interp.hooks.info)
+        (out.error, interp.hooks.into_info())
     });
     let mut merged = BoundsInfo::default();
     for (error, info) in runs {

@@ -277,6 +277,8 @@ pub struct Interp<'m, H: Hooks> {
     /// Snapshot of `wyt_obs::enabled()` at construction; gates the
     /// per-access classification so a disabled sink costs one branch.
     classify: bool,
+    /// Phi updates of the branch being taken, reused across branches.
+    phi_buf: Vec<(InstId, u32, Option<Shadow>)>,
 }
 
 impl<'m, H: Hooks> Interp<'m, H> {
@@ -311,6 +313,7 @@ impl<'m, H: Hooks> Interp<'m, H> {
             guard_hit: None,
             emu_range: None,
             classify: wyt_obs::enabled(),
+            phi_buf: Vec::new(),
         }
     }
 
@@ -470,6 +473,9 @@ impl<'m, H: Hooks> Interp<'m, H> {
     }
 
     fn run_inner(&mut self, entry: FuncId, args: &[u32]) -> Result<i32, InterpError> {
+        // Instructions are matched by reference: the module outlives
+        // `self`'s borrows, so the hot loop never clones IR.
+        let module: &'m Module = self.module;
         let mut frames: Vec<Frame> = Vec::new();
         let first = self.new_frame(entry, args.to_vec(), vec![None; args.len()], None)?;
         let first_args: Vec<Tagged> = args.iter().map(|&a| (a, None)).collect();
@@ -480,7 +486,7 @@ impl<'m, H: Hooks> Interp<'m, H> {
             let Some(fr) = frames.last_mut() else {
                 return Err(InterpError::FrameUnderflow);
             };
-            let func = &self.module.funcs[fr.func.index()];
+            let func = &module.funcs[fr.func.index()];
             let Some(block) = func.blocks.get(fr.block.index()) else {
                 return Err(InterpError::BadIndex("block", fr.block.0));
             };
@@ -491,8 +497,7 @@ impl<'m, H: Hooks> Interp<'m, H> {
                 if self.steps > self.fuel {
                     return Err(InterpError::Fuel);
                 }
-                let term = block.term.clone();
-                match term {
+                match block.term {
                     Term::Br(b) => self.branch(frames.last_mut().unwrap(), b)?,
                     Term::CondBr { c, t, f } => {
                         let fr = frames.last_mut().unwrap();
@@ -500,7 +505,7 @@ impl<'m, H: Hooks> Interp<'m, H> {
                         let target = if cv != 0 { t } else { f };
                         self.branch(frames.last_mut().unwrap(), target)?;
                     }
-                    Term::Switch { v, cases, default } => {
+                    Term::Switch { v, ref cases, default } => {
                         let fr = frames.last_mut().unwrap();
                         let val = self.eval(fr, v) as i32;
                         let target = cases
@@ -549,10 +554,9 @@ impl<'m, H: Hooks> Interp<'m, H> {
             if self.steps > self.fuel {
                 return Err(InterpError::Fuel);
             }
-            let kind = func.inst(inst_id).clone();
             let cur_func = fr.func;
 
-            match kind {
+            match *func.inst(inst_id) {
                 InstKind::Bin { op, a, b } => {
                     let fr = frames.last_mut().unwrap();
                     let ta = self.tagged(fr, a);
@@ -764,7 +768,8 @@ impl<'m, H: Hooks> Interp<'m, H> {
         let func = &self.module.funcs[fr.func.index()];
         let from = fr.block;
         let tb = func.blocks.get(target.index()).ok_or(InterpError::BadIndex("block", target.0))?;
-        let mut updates: Vec<(InstId, u32, Option<Shadow>)> = Vec::new();
+        let mut updates = std::mem::take(&mut self.phi_buf);
+        updates.clear();
         for &i in &tb.insts {
             match func.inst(i) {
                 InstKind::Phi { incomings } => {
@@ -778,10 +783,11 @@ impl<'m, H: Hooks> Interp<'m, H> {
                 _ => break,
             }
         }
-        for (i, v, s) in updates {
+        for &(i, v, s) in &updates {
             fr.vals[i.index()] = v;
             fr.shadows[i.index()] = self.hooks.transparent(s);
         }
+        self.phi_buf = updates;
         fr.prev_block = Some(from);
         fr.block = target;
         fr.idx = 0;
